@@ -7,8 +7,9 @@
 /// \file
 /// Shared setup for the figure-reproduction benches: a tuned training
 /// configuration (the paper's 64x64 FCNN and discrete action space, with
-/// learning-rate/batch scaled to this reproduction's much smaller compute
-/// budget — see EXPERIMENTS.md) and a standard synthetic training set.
+/// learning rate and batch scaled to this reproduction's much smaller
+/// compute budget — see benchConfig()) and a standard synthetic training
+/// set.
 ///
 //===----------------------------------------------------------------------===//
 

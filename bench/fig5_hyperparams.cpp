@@ -11,8 +11,9 @@
 //   - smaller batches converge with fewer samples; the policy reaches a
 //     rewarding state (> 0) within ~5k samples at the smallest batch.
 // Note the compute scaling: the paper trains to 500k steps on a cluster;
-// this harness runs a few thousand steps per configuration, so the sweep
-// shows the same orderings at compressed scale (see EXPERIMENTS.md).
+// this harness runs 6,400 steps per configuration, so the sweep shows the
+// same orderings at compressed scale (benchConfig() in bench/BenchUtil.h
+// holds the scaled learning rate and batch sizes).
 //
 //===----------------------------------------------------------------------===//
 

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 using namespace nv;
 
@@ -75,13 +76,19 @@ int main(int argc, char **argv) {
       {"brute-force oracle", PredictMethod::BruteForce},
   };
 
-  std::cout << "\n=== RL-annotated source (Fig 4 style) ===\n"
-            << NV.annotate(Source, PredictMethod::RL) << "\n";
+  try {
+    const std::string Annotated = NV.annotate(Source, PredictMethod::RL);
+    std::cout << "\n=== RL-annotated source (Fig 4 style) ===\n"
+              << Annotated << "\n";
 
-  std::cout << "=== predicted speedups over the baseline cost model ===\n";
-  for (const MethodRow &M : Methods)
-    std::cout << "  " << M.Name << ": "
-              << Table::fmt(NV.speedupOverBaseline(Source, M.Method))
-              << "x\n";
+    std::cout << "=== predicted speedups over the baseline cost model ===\n";
+    for (const MethodRow &M : Methods)
+      std::cout << "  " << M.Name << ": "
+                << Table::fmt(NV.speedupOverBaseline(Source, M.Method))
+                << "x\n";
+  } catch (const std::invalid_argument &E) {
+    std::cerr << "error: " << E.what() << "\n";
+    return 1;
+  }
   return 0;
 }

@@ -11,8 +11,23 @@
 #include "support/Telemetry.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace nv;
+
+namespace {
+
+/// Parses \p Source, or throws std::invalid_argument carrying the
+/// parser's message.
+Program parseOrThrow(const std::string &Source) {
+  std::string Error;
+  std::optional<Program> Parsed = parseSource(Source, &Error);
+  if (!Parsed)
+    throw std::invalid_argument("cannot parse program: " + Error);
+  return std::move(*Parsed);
+}
+
+} // namespace
 
 NeuroVectorizer::NeuroVectorizer(const NeuroVectorizerConfig &Config)
     : Config(Config), Rng(Config.Seed) {
@@ -142,13 +157,12 @@ NeuroVectorizer::plansFor(const std::string &Source, PredictMethod Method) {
   if (P->kind() == Predictor::Kind::Source) {
     // Source-kind backends see the program themselves; their plans still
     // pass the same legality clamp the serving boundary applies.
+    Program Parsed = parseOrThrow(Source);
     std::vector<VectorPlan> Plans = P->plansForSource(Source);
-    std::optional<Program> Parsed = parseSource(Source);
-    assert(Parsed && "plansFor() requires a valid program");
-    clearAllPragmas(*Parsed);
-    std::vector<LoopSite> Sites = extractLoops(*Parsed);
+    clearAllPragmas(Parsed);
+    std::vector<LoopSite> Sites = extractLoops(Parsed);
     const std::vector<LoopSummary> Summaries =
-        lowerAllLoops(*Parsed, Sites, Config.Target.MaxVF);
+        lowerAllLoops(Parsed, Sites, Config.Target.MaxVF);
     for (size_t S = 0; S < Plans.size() && S < Summaries.size(); ++S)
       Plans[S] = legalizePlan(analyzeLegality(Summaries[S], Config.Target)
                                   .MaxSafeVF,
@@ -157,17 +171,15 @@ NeuroVectorizer::plansFor(const std::string &Source, PredictMethod Method) {
   }
 
   assert(P->ready() && "call fitSupervised() first");
-  std::string Error;
-  std::optional<Program> Parsed = parseSource(Source, &Error);
-  assert(Parsed && "plansFor() requires a valid program");
-  clearAllPragmas(*Parsed);
-  std::vector<LoopSite> Sites = extractLoops(*Parsed);
+  Program Parsed = parseOrThrow(Source);
+  clearAllPragmas(Parsed);
+  std::vector<LoopSite> Sites = extractLoops(Parsed);
 
   // Per-site legality: feature columns for a widened policy, and the
   // clamp every embedding-kind prediction passes through (so the plans
   // handed back are the plans the compiler would actually honor).
   std::vector<LoopSummary> Summaries =
-      lowerAllLoops(*Parsed, Sites, Config.Target.MaxVF);
+      lowerAllLoops(Parsed, Sites, Config.Target.MaxVF);
   std::vector<LegalitySummary> Legality;
   std::vector<LegalityDigest> Digests;
   Legality.reserve(Summaries.size());
@@ -209,25 +221,24 @@ std::string NeuroVectorizer::annotate(const std::string &Source,
     ~RecordOnExit() { H.record(nowMicros() - Start); }
   } Record{AnnotateUs, Start};
 
-  std::string Error;
-  std::optional<Program> Parsed = parseSource(Source, &Error);
-  assert(Parsed && "annotate() requires a valid program");
-  clearAllPragmas(*Parsed);
-  std::vector<LoopSite> Sites = extractLoops(*Parsed);
+  Program Parsed = parseOrThrow(Source);
+  clearAllPragmas(Parsed);
+  std::vector<LoopSite> Sites = extractLoops(Parsed);
   std::vector<VectorPlan> Plans = plansFor(Source, Method);
   assert(Plans.size() == Sites.size());
   for (size_t S = 0; S < Sites.size(); ++S)
     injectPragma(Sites[S], {Plans[S].VF, Plans[S].IF});
-  return printProgram(*Parsed);
+  return printProgram(Parsed);
 }
 
 double NeuroVectorizer::cyclesFor(const std::string &Source,
                                   PredictMethod Method) {
   VectorizationEnv Scratch(SimCompiler(Config.Target, Config.Machine),
                            Config.Embedding.Paths);
-  const bool Added = Scratch.addProgram("query", Source);
-  assert(Added && "program with loops expected");
-  (void)Added;
+  if (!Scratch.addProgram("query", Source)) {
+    parseOrThrow(Source); // The parser's message, when that is the cause.
+    throw std::invalid_argument("program has no loops");
+  }
   if (Method == PredictMethod::Baseline)
     return Scratch.sample(0).BaselineCycles;
   std::vector<VectorPlan> Plans = plansFor(Source, Method);

@@ -100,7 +100,9 @@ public:
   bool supervisedReady() const;
 
   /// Predicts factors for every vectorization site of \p Source using
-  /// \p Method; returns the annotated source (Fig 4 style).
+  /// \p Method; returns the annotated source (Fig 4 style). Throws
+  /// std::invalid_argument, carrying the parser's message, if \p Source
+  /// does not parse (as do plansFor, cyclesFor and speedupOverBaseline).
   std::string annotate(const std::string &Source,
                        PredictMethod Method = PredictMethod::RL);
 
@@ -108,7 +110,8 @@ public:
   std::vector<VectorPlan> plansFor(const std::string &Source,
                                    PredictMethod Method = PredictMethod::RL);
 
-  /// Simulated execution cycles of \p Source under \p Method.
+  /// Simulated execution cycles of \p Source under \p Method. Also throws
+  /// std::invalid_argument if \p Source has no loops.
   double cyclesFor(const std::string &Source, PredictMethod Method);
 
   /// Speedup of \p Method over the baseline cost model on \p Source.

@@ -2,11 +2,10 @@
 
 #include "embedding/Code2Vec.h"
 
-#include "nn/Distributions.h"
+#include "nn/Attention.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
-#include <cmath>
 
 using namespace nv;
 
@@ -29,10 +28,11 @@ std::vector<Param *> Code2Vec::params() {
 void Code2Vec::encodeSample(SampleCache &SC, ContextSpan Contexts,
                             double *VRow, ThreadPool *Pool) {
   const int InDim = 2 * Config.TokenDim + Config.PathDim;
-  for (int D = 0; D < Config.CodeDim; ++D)
-    VRow[D] = 0.0;
+  SC.Contexts = Contexts;
   if (Contexts.empty()) {
     // Empty snippet: code vector is zero.
+    for (int D = 0; D < Config.CodeDim; ++D)
+      VRow[D] = 0.0;
     SC.X.resize(0, InDim);
     SC.C.resize(0, Config.CodeDim);
     SC.Alpha.clear();
@@ -57,76 +57,53 @@ void Code2Vec::encodeSample(SampleCache &SC, ContextSpan Contexts,
   }
 
   // Combined context vectors: fused affine + tanh. The int8 shadow only
-  // serves the forward-only span encode — encodeBatchInto marks a backward
-  // pass possible (BackwardReady) before encoding, and gradients must see
-  // the fp32 weights.
+  // serves the forward-only span encode — the training encodes mark a
+  // backward pass possible (BackwardReady) before encoding, and gradients
+  // must see the fp32 weights.
   if (QuantW.ready() && !BackwardReady)
     gemmQuantInto(SC.C, SC.X, QuantW, &B.Value, Activation::Tanh,
                   SC.QScratch, Pool);
   else
     gemmInto(SC.C, SC.X, W.Value, &B.Value, Activation::Tanh, Pool);
 
-  // Attention scores, softmaxed in place.
+  // Attention pooling into the code vector.
   SC.Alpha.resize(N);
-  const double *AttnRow = Attn.Value.rowPtr(0);
-  double MaxScore = -1e300;
-  for (int I = 0; I < N; ++I) {
-    double Dot = 0.0;
-    const double *CRow = SC.C.rowPtr(I);
-    for (int D = 0; D < Config.CodeDim; ++D)
-      Dot += CRow[D] * AttnRow[D];
-    SC.Alpha[I] = Dot;
-    MaxScore = std::max(MaxScore, Dot);
-  }
-  double Norm = 0.0;
-  for (int I = 0; I < N; ++I) {
-    SC.Alpha[I] = std::exp(SC.Alpha[I] - MaxScore);
-    Norm += SC.Alpha[I];
-  }
-  for (int I = 0; I < N; ++I)
-    SC.Alpha[I] /= Norm;
-
-  // Weighted sum.
-  for (int I = 0; I < N; ++I) {
-    const double *CRow = SC.C.rowPtr(I);
-    const double Alpha = SC.Alpha[I];
-    for (int D = 0; D < Config.CodeDim; ++D)
-      VRow[D] += Alpha * CRow[D];
-  }
+  attentionPoolForward(SC.C, Attn.Value.rowPtr(0), SC.Alpha.data(), VRow);
 }
 
 void Code2Vec::encodeBatchInto(
     const std::vector<std::vector<PathContext>> &Batch, Matrix &V,
     ThreadPool *Pool) {
-  V.resize(static_cast<int>(Batch.size()), Config.CodeDim);
-  Cache.resize(Batch.size()); // Existing SampleCaches keep their buffers.
-  BackwardReady = true;
-
-  auto EncodeOne = [&](size_t S, ThreadPool *SamplePool) {
-    // Retain the contexts for backward()'s embedding-table scatter (the
-    // copy reuses the cache vector's capacity once warm).
-    Cache[S].Contexts = Batch[S];
-    encodeSample(Cache[S], {Batch[S].data(), Batch[S].size()},
-                 V.rowPtr(static_cast<int>(S)), SamplePool);
-  };
-  if (Pool && Batch.size() > 1) {
-    // Samples are independent: fan them out and keep each sample's inner
-    // GEMM serial. Per-sample results do not depend on the partition.
-    Pool->parallelFor(0, Batch.size(),
-                      [&](size_t S) { EncodeOne(S, nullptr); });
-    return;
+  // Retain a copy of each bag for backward()'s embedding-table scatter
+  // (the copy reuses the cache vector's capacity once warm).
+  Cache.resize(Batch.size());
+  OwnedSpans.resize(Batch.size());
+  for (size_t S = 0; S < Batch.size(); ++S) {
+    Cache[S].Owned = Batch[S];
+    OwnedSpans[S] = {Cache[S].Owned.data(), Cache[S].Owned.size()};
   }
-  for (size_t S = 0; S < Batch.size(); ++S)
-    EncodeOne(S, Pool);
+  encodeSpans(OwnedSpans, V, Pool, /*ForBackward=*/true);
 }
 
 void Code2Vec::encodeSpansInto(const std::vector<ContextSpan> &Batch,
                                Matrix &V, ThreadPool *Pool) {
+  encodeSpans(Batch, V, Pool, /*ForBackward=*/false);
+}
+
+void Code2Vec::encodeSpansForBackwardInto(
+    const std::vector<ContextSpan> &Batch, Matrix &V, ThreadPool *Pool) {
+  encodeSpans(Batch, V, Pool, /*ForBackward=*/true);
+}
+
+void Code2Vec::encodeSpans(const std::vector<ContextSpan> &Batch, Matrix &V,
+                           ThreadPool *Pool, bool ForBackward) {
   V.resize(static_cast<int>(Batch.size()), Config.CodeDim);
-  Cache.resize(Batch.size());
-  BackwardReady = false; // Contexts are borrowed, not retained.
+  Cache.resize(Batch.size()); // Existing SampleCaches keep their buffers.
+  BackwardReady = ForBackward;
 
   if (Pool && Batch.size() > 1) {
+    // Samples are independent: fan them out and keep each sample's inner
+    // GEMM serial. Per-sample results do not depend on the partition.
     Pool->parallelFor(0, Batch.size(), [&](size_t S) {
       encodeSample(Cache[S], Batch[S], V.rowPtr(static_cast<int>(S)),
                    nullptr);
@@ -154,76 +131,53 @@ void Code2Vec::backward(const Matrix &dV) {
   assert(dV.rows() == static_cast<int>(Cache.size()) &&
          "backward batch size mismatch with last encodeBatch");
   assert(dV.cols() == Config.CodeDim && "backward width mismatch");
+  for (size_t S = 0; S < Cache.size(); ++S)
+    backwardRow(Cache[S], dV.rowPtr(static_cast<int>(S)));
+}
 
-  for (size_t S = 0; S < Cache.size(); ++S) {
-    SampleCache &SC = Cache[S];
-    const int N = static_cast<int>(SC.Contexts.size());
-    if (N == 0)
-      continue;
-    const double *dVRow = dV.rowPtr(static_cast<int>(S));
+void Code2Vec::backward(const Matrix &dV,
+                        const std::vector<int> &SampleOfRow) {
+  assert(BackwardReady &&
+         "backward after encodeSpansInto (forward-only serving encode)");
+  assert(dV.rows() == static_cast<int>(SampleOfRow.size()) &&
+         "backward needs one cache index per gradient row");
+  assert(dV.cols() == Config.CodeDim && "backward width mismatch");
+  for (size_t R = 0; R < SampleOfRow.size(); ++R) {
+    assert(SampleOfRow[R] >= 0 &&
+           static_cast<size_t>(SampleOfRow[R]) < Cache.size() &&
+           "cache index out of range of the last encode");
+    backwardRow(Cache[SampleOfRow[R]], dV.rowPtr(static_cast<int>(R)));
+  }
+}
 
-    // v = sum alpha_i c_i.
-    //   dAlpha_i = c_i . dv        dC_i += alpha_i dv
-    std::vector<double> dAlpha(N, 0.0);
-    Matrix &dC = BackdC;
-    dC.resize(N, Config.CodeDim);
-    for (int I = 0; I < N; ++I) {
-      const double *CRow = SC.C.rowPtr(I);
-      double *dCRow = dC.rowPtr(I);
-      double Dot = 0.0;
-      for (int D = 0; D < Config.CodeDim; ++D) {
-        Dot += CRow[D] * dVRow[D];
-        dCRow[D] = SC.Alpha[I] * dVRow[D];
-      }
-      dAlpha[I] = Dot;
-    }
+void Code2Vec::backwardRow(const SampleCache &SC, const double *dVRow) {
+  const int N = static_cast<int>(SC.Contexts.Size);
+  if (N == 0)
+    return;
 
-    // Softmax backward: dScore_i = alpha_i (dAlpha_i - sum_j alpha_j
-    // dAlpha_j).
-    double Weighted = 0.0;
-    for (int I = 0; I < N; ++I)
-      Weighted += SC.Alpha[I] * dAlpha[I];
-    std::vector<double> dScore(N);
-    for (int I = 0; I < N; ++I)
-      dScore[I] = SC.Alpha[I] * (dAlpha[I] - Weighted);
+  // Attention and tanh backward into the affine pre-activation.
+  Matrix &dC = BackdC;
+  attentionPoolBackward(SC.C, Attn.Value.rowPtr(0), SC.Alpha.data(), dVRow,
+                        Attn.Grad.rowPtr(0), dC, BackdScore);
 
-    // Score_i = c_i . a:  dA += dScore_i c_i;  dC_i += dScore_i a.
-    for (int I = 0; I < N; ++I) {
-      const double *CRow = SC.C.rowPtr(I);
-      double *dCRow = dC.rowPtr(I);
-      for (int D = 0; D < Config.CodeDim; ++D) {
-        Attn.Grad.at(0, D) += dScore[I] * CRow[D];
-        dCRow[D] += dScore[I] * Attn.Value.at(0, D);
-      }
-    }
+  // Affine backward: pre = X W + b.
+  gemmTAInto(W.Grad, SC.X, dC, /*Accumulate=*/true);
+  sumRowsInto(B.Grad, dC, /*Accumulate=*/true);
+  Matrix &dX = BackdX;
+  gemmTBInto(dX, dC, W.Value);
 
-    // tanh backward into the affine pre-activation.
-    for (int I = 0; I < N; ++I) {
-      const double *CRow = SC.C.rowPtr(I);
-      double *dCRow = dC.rowPtr(I);
-      for (int D = 0; D < Config.CodeDim; ++D)
-        dCRow[D] *= 1.0 - CRow[D] * CRow[D];
-    }
-
-    // Affine backward: pre = X W + b.
-    gemmTAInto(W.Grad, SC.X, dC, /*Accumulate=*/true);
-    sumRowsInto(B.Grad, dC, /*Accumulate=*/true);
-    Matrix &dX = BackdX;
-    gemmTBInto(dX, dC, W.Value);
-
-    // Scatter into the embedding tables.
-    for (int I = 0; I < N; ++I) {
-      const PathContext &Ctx = SC.Contexts[I];
-      const double *Row = dX.rowPtr(I);
-      double *Src = TokenEmb.Grad.rowPtr(Ctx.SrcToken);
-      double *Path = PathEmb.Grad.rowPtr(Ctx.Path);
-      double *Dst = TokenEmb.Grad.rowPtr(Ctx.DstToken);
-      for (int D = 0; D < Config.TokenDim; ++D)
-        Src[D] += Row[D];
-      for (int D = 0; D < Config.PathDim; ++D)
-        Path[D] += Row[Config.TokenDim + D];
-      for (int D = 0; D < Config.TokenDim; ++D)
-        Dst[D] += Row[Config.TokenDim + Config.PathDim + D];
-    }
+  // Scatter into the embedding tables.
+  for (int I = 0; I < N; ++I) {
+    const PathContext &Ctx = SC.Contexts.Data[I];
+    const double *Row = dX.rowPtr(I);
+    double *Src = TokenEmb.Grad.rowPtr(Ctx.SrcToken);
+    double *Path = PathEmb.Grad.rowPtr(Ctx.Path);
+    double *Dst = TokenEmb.Grad.rowPtr(Ctx.DstToken);
+    for (int D = 0; D < Config.TokenDim; ++D)
+      Src[D] += Row[D];
+    for (int D = 0; D < Config.PathDim; ++D)
+      Path[D] += Row[Config.TokenDim + D];
+    for (int D = 0; D < Config.TokenDim; ++D)
+      Dst[D] += Row[Config.TokenDim + Config.PathDim + D];
   }
 }

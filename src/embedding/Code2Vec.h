@@ -18,11 +18,13 @@
 /// *end-to-end with the RL agent*: PPO's gradient w.r.t. the state vector
 /// flows through the attention into the embedding tables.
 ///
-/// encodeBatchInto is the hot path: it runs the affine+tanh step through
-/// the fused blocked kernels (nn/Kernels.h), reuses the per-sample caches
-/// across calls (zero steady-state allocation), and can spread samples of
-/// a batch across a ThreadPool — deterministically, since samples are
-/// independent and every reduction order is fixed.
+/// The encodes run the affine+tanh step through the fused blocked kernels
+/// (nn/Kernels.h) and the attention through nn/Attention.h, reuse the
+/// per-sample caches across calls, and can spread samples of a batch
+/// across a ThreadPool — deterministically, since samples are independent
+/// and every reduction order is fixed. Once warm, the span encodes and
+/// backward() perform no heap allocation; encodeBatchInto additionally
+/// copies each bag into its cache (reusing the cache's capacity).
 ///
 /// The paper uses a 340-dimensional code vector; the default here is 64
 /// so the bench harnesses train in seconds (configurable; the hyper-
@@ -69,9 +71,16 @@ public:
   /// per-bag copy into the sample caches) and produces bit-identical code
   /// vectors to encodeBatchInto on the same bags. Forward-only: it does
   /// not retain the contexts, so backward() is invalid until the next
-  /// encodeBatchInto (asserted).
+  /// training encode (asserted).
   void encodeSpansInto(const std::vector<ContextSpan> &Batch, Matrix &V,
                        ThreadPool *Pool = nullptr);
+
+  /// Training encode over borrowed spans: the code vectors of
+  /// encodeBatchInto, and the caches backward() needs, without copying
+  /// the bags. The bags must stay alive and unchanged until the last
+  /// backward() of this encode.
+  void encodeSpansForBackwardInto(const std::vector<ContextSpan> &Batch,
+                                  Matrix &V, ThreadPool *Pool = nullptr);
 
   /// Allocating convenience wrapper around encodeBatchInto.
   Matrix encodeBatch(const std::vector<std::vector<PathContext>> &Batch);
@@ -79,9 +88,15 @@ public:
   /// Convenience single-snippet encode (1 x CodeDim).
   Matrix encode(const std::vector<PathContext> &Contexts);
 
-  /// Accumulates parameter gradients for the last encodeBatch() given the
-  /// loss gradient \p dV (batch x CodeDim).
+  /// Accumulates parameter gradients for the last training encode given
+  /// the loss gradient \p dV (batch x CodeDim).
   void backward(const Matrix &dV);
+
+  /// backward() for rows that share forward caches: row R of \p dV flows
+  /// through the cache of encoded sample \p SampleOfRow[R]. Rows are
+  /// walked in order, so the gradients carry the bits of backward() over
+  /// a batch that encoded sample SampleOfRow[R] at row R.
+  void backward(const Matrix &dV, const std::vector<int> &SampleOfRow);
 
   std::vector<Param *> params();
 
@@ -102,23 +117,30 @@ private:
   Param B;        ///< (1 x CodeDim)
   Param Attn;     ///< (1 x CodeDim)
 
-  /// Cached forward state per batch row. Reused across batches: growing a
-  /// vector member reuses its allocation whenever the new size fits.
+  /// Cached forward state per encoded sample. Reused across batches:
+  /// growing a vector member reuses its allocation whenever the new size
+  /// fits.
   struct SampleCache {
-    std::vector<PathContext> Contexts;
+    ContextSpan Contexts; ///< The bag backward() scatters into.
+    std::vector<PathContext> Owned; ///< encodeBatchInto's copy of the bag.
     Matrix X;     ///< (n x inDim) concatenated embeddings.
     Matrix C;     ///< (n x CodeDim) tanh context vectors.
     std::vector<double> Alpha; ///< Attention weights (n).
     QuantScratch QScratch;     ///< Int8 activation scratch (serving).
   };
   std::vector<SampleCache> Cache;
+  std::vector<ContextSpan> OwnedSpans; ///< encodeBatchInto's spans.
   QuantizedLinear QuantW; ///< Int8 shadow of W (empty = fp32 only).
-  bool BackwardReady = false; ///< Set by encodeBatchInto only.
+  bool BackwardReady = false; ///< Set by the training encodes only.
   Matrix BackdC; ///< Backward scratch (n x CodeDim).
   Matrix BackdX; ///< Backward scratch (n x inDim).
+  std::vector<double> BackdScore; ///< Backward scratch (n).
 
   void encodeSample(SampleCache &SC, ContextSpan Contexts, double *VRow,
                     ThreadPool *Pool);
+  void encodeSpans(const std::vector<ContextSpan> &Batch, Matrix &V,
+                   ThreadPool *Pool, bool ForBackward);
+  void backwardRow(const SampleCache &SC, const double *dVRow);
 };
 
 } // namespace nv

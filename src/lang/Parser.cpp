@@ -5,6 +5,7 @@
 #include "lang/Lexer.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -47,6 +48,24 @@ void Parser::fail(const std::string &Message) {
   if (ErrorMessage.empty())
     ErrorMessage = Message;
   Failed = true;
+}
+
+void Parser::failTooDeep() {
+  fail("nesting deeper than " + std::to_string(MaxNestingDepth) +
+       " levels at line " + std::to_string(peek().Line));
+}
+
+template <typename ParseFn>
+auto Parser::nested(ParseFn Parse) -> decltype(Parse()) {
+  if (Depth >= MaxNestingDepth) {
+    failTooDeep();
+    return nullptr;
+  }
+  ++Depth;
+  Deepest = std::max(Deepest, Depth);
+  auto Result = Parse();
+  --Depth;
+  return Result;
 }
 
 std::optional<ScalarType> Parser::parseTypeSpecifier() {
@@ -229,6 +248,10 @@ std::optional<VectorPragma> Parser::parsePragmaText(const std::string &Text) {
 }
 
 StmtPtr Parser::parseStmt() {
+  return nested([this] { return parseStmtAtDepth(); });
+}
+
+StmtPtr Parser::parseStmtAtDepth() {
   if (check(TokenKind::Pragma)) {
     PendingPragma = parsePragmaText(advance().Text);
     return nullptr; // Attached to the next for-statement.
@@ -444,15 +467,17 @@ StmtPtr Parser::parseAssignOrExprStmt() {
   return std::make_unique<AssignStmt>(std::move(LValue), Op, std::move(RHS));
 }
 
-ExprPtr Parser::parseExpr() { return parseTernary(); }
+ExprPtr Parser::parseExpr() {
+  return nested([this] { return parseTernary(); });
+}
 
 ExprPtr Parser::parseTernary() {
   ExprPtr Cond = parseBinary(0);
   if (failed() || !accept(TokenKind::Question))
     return Cond;
-  ExprPtr Then = parseTernary();
+  ExprPtr Then = nested([this] { return parseTernary(); });
   expect(TokenKind::Colon, "in conditional expression");
-  ExprPtr Else = parseTernary();
+  ExprPtr Else = nested([this] { return parseTernary(); });
   if (failed())
     return nullptr;
   return std::make_unique<TernaryExpr>(std::move(Cond), std::move(Then),
@@ -529,29 +554,47 @@ static bool binaryOpInfo(TokenKind Kind, OpInfo &Info) {
 }
 
 ExprPtr Parser::parseBinary(int MinPrecedence) {
+  // A left-associative chain is folded in a loop, not by recursion, but
+  // every fold puts the operands before it one level deeper in the tree.
+  // Height tracks the levels the chain reaches below Depth: its deepest
+  // operand, plus one per fold above that operand.
+  const int OuterDeepest = Deepest;
+  Deepest = Depth;
   ExprPtr LHS = parseUnary();
+  int Height = Deepest - Depth;
   for (;;) {
     if (failed())
       return nullptr;
     OpInfo Info;
     if (!binaryOpInfo(peek().Kind, Info) || Info.Precedence < MinPrecedence)
-      return LHS;
+      break;
     advance();
+    Deepest = Depth;
     ExprPtr RHS = parseBinary(Info.Precedence + 1);
     if (failed())
       return nullptr;
+    Height = 1 + std::max(Height, Deepest - Depth);
+    if (Depth + Height > MaxNestingDepth) {
+      failTooDeep();
+      return nullptr;
+    }
     LHS = std::make_unique<BinaryExpr>(Info.Op, std::move(LHS),
                                        std::move(RHS));
   }
+  Deepest = std::max(OuterDeepest, Depth + Height);
+  return LHS;
 }
 
 ExprPtr Parser::parseUnary() {
+  const auto Operand = [this] {
+    return nested([this] { return parseUnary(); });
+  };
   if (accept(TokenKind::Minus))
-    return std::make_unique<UnaryExpr>(UnaryOp::Neg, parseUnary());
+    return std::make_unique<UnaryExpr>(UnaryOp::Neg, Operand());
   if (accept(TokenKind::Not))
-    return std::make_unique<UnaryExpr>(UnaryOp::Not, parseUnary());
+    return std::make_unique<UnaryExpr>(UnaryOp::Not, Operand());
   if (accept(TokenKind::Tilde))
-    return std::make_unique<UnaryExpr>(UnaryOp::BitNot, parseUnary());
+    return std::make_unique<UnaryExpr>(UnaryOp::BitNot, Operand());
   // Cast: '(' type ')' unary.
   if (check(TokenKind::LParen)) {
     const Token &Next = peek(1);
@@ -567,7 +610,7 @@ ExprPtr Parser::parseUnary() {
       std::optional<ScalarType> Ty = parseTypeSpecifier();
       assert(Ty && "type token checked above");
       expect(TokenKind::RParen, "after cast type");
-      return std::make_unique<CastExpr>(*Ty, parseUnary());
+      return std::make_unique<CastExpr>(*Ty, Operand());
     }
     default:
       break;

@@ -343,10 +343,28 @@ void nv::sumRowsInto(Matrix &Out, const Matrix &A, bool Accumulate) {
     Out.resize(1, A.cols());
     Out.zero();
   }
-  double *Row = Out.rowPtr(0);
-  for (int I = 0; I < A.rows(); ++I) {
-    const double *ARow = A.rowPtr(I);
-    for (int J = 0; J < A.cols(); ++J)
+  // Each column adds the rows in ascending order; four rows share one pass
+  // over the output so the adds are not bound by its loads and stores.
+  const int M = A.rows(), N = A.cols();
+  double *__restrict Row = Out.rowPtr(0);
+  int I = 0;
+  for (; I + 4 <= M; I += 4) {
+    const double *__restrict A0 = A.rowPtr(I);
+    const double *__restrict A1 = A.rowPtr(I + 1);
+    const double *__restrict A2 = A.rowPtr(I + 2);
+    const double *__restrict A3 = A.rowPtr(I + 3);
+    for (int J = 0; J < N; ++J) {
+      double S = Row[J];
+      S += A0[J];
+      S += A1[J];
+      S += A2[J];
+      S += A3[J];
+      Row[J] = S;
+    }
+  }
+  for (; I < M; ++I) {
+    const double *__restrict ARow = A.rowPtr(I);
+    for (int J = 0; J < N; ++J)
       Row[J] += ARow[J];
   }
 }

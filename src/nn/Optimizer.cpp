@@ -4,6 +4,10 @@
 
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 using namespace nv;
 
 double nv::clipGradNorm(const std::vector<Param *> &Params, double MaxNorm) {
@@ -72,14 +76,47 @@ void Adam::step(const std::vector<Param *> &Params) {
       1.0 - std::pow(Beta2, static_cast<double>(StepCount));
   for (Param *P : Params) {
     Moments &Mom = momentsFor(P);
-    for (size_t I = 0; I < P->Value.size(); ++I) {
-      const double G = P->Grad.raw()[I];
-      Mom.M[I] = Beta1 * Mom.M[I] + (1.0 - Beta1) * G;
-      Mom.V[I] = Beta2 * Mom.V[I] + (1.0 - Beta2) * G * G;
-      const double MHat = Mom.M[I] / BiasCorrection1;
-      const double VHat = Mom.V[I] / BiasCorrection2;
-      P->Value.raw()[I] -=
-          LearningRate * MHat / (std::sqrt(VHat) + Epsilon);
+    const size_t N = P->Value.size();
+    double *__restrict Value = P->Value.raw().data();
+    const double *__restrict Grad = P->Grad.raw().data();
+    double *__restrict M = Mom.M.data();
+    double *__restrict V = Mom.V.data();
+    size_t I = 0;
+#if defined(__SSE2__)
+    // Two lanes at a time with exactly the scalar loop's operations.
+    // Spelled out in intrinsics because std::sqrt may set errno, which
+    // keeps the compiler from vectorizing it; _mm_sqrt_pd rounds like
+    // std::sqrt.
+    const __m128d B1 = _mm_set1_pd(Beta1), B2 = _mm_set1_pd(Beta2);
+    const __m128d OneMinusB1 = _mm_set1_pd(1.0 - Beta1);
+    const __m128d OneMinusB2 = _mm_set1_pd(1.0 - Beta2);
+    const __m128d BC1 = _mm_set1_pd(BiasCorrection1);
+    const __m128d BC2 = _mm_set1_pd(BiasCorrection2);
+    const __m128d LR = _mm_set1_pd(LearningRate);
+    const __m128d Eps = _mm_set1_pd(Epsilon);
+    for (; I + 2 <= N; I += 2) {
+      const __m128d G = _mm_loadu_pd(Grad + I);
+      const __m128d MNew = _mm_add_pd(_mm_mul_pd(B1, _mm_loadu_pd(M + I)),
+                                      _mm_mul_pd(OneMinusB1, G));
+      const __m128d VNew =
+          _mm_add_pd(_mm_mul_pd(B2, _mm_loadu_pd(V + I)),
+                     _mm_mul_pd(_mm_mul_pd(OneMinusB2, G), G));
+      _mm_storeu_pd(M + I, MNew);
+      _mm_storeu_pd(V + I, VNew);
+      const __m128d MHat = _mm_div_pd(MNew, BC1);
+      const __m128d VHat = _mm_div_pd(VNew, BC2);
+      const __m128d Step = _mm_div_pd(_mm_mul_pd(LR, MHat),
+                                      _mm_add_pd(_mm_sqrt_pd(VHat), Eps));
+      _mm_storeu_pd(Value + I, _mm_sub_pd(_mm_loadu_pd(Value + I), Step));
+    }
+#endif
+    for (; I < N; ++I) {
+      const double G = Grad[I];
+      M[I] = Beta1 * M[I] + (1.0 - Beta1) * G;
+      V[I] = Beta2 * V[I] + (1.0 - Beta2) * G * G;
+      const double MHat = M[I] / BiasCorrection1;
+      const double VHat = V[I] / BiasCorrection2;
+      Value[I] -= LearningRate * MHat / (std::sqrt(VHat) + Epsilon);
     }
   }
 }

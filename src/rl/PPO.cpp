@@ -108,14 +108,25 @@ double PPORunner::update(const std::vector<Transition> &Batch,
       A = (A - Mean) / Std;
   }
 
-  // Gather the state contexts (and legality digests, for feature-widened
-  // policies) once.
-  std::vector<std::vector<PathContext>> Contexts;
+  // Borrow each transition's context bag in place (the environment does
+  // not change during an update) and gather its legality digest, for
+  // feature-widened policies, once. Each (sample, site) gets a dense key so
+  // a minibatch can encode every distinct site once.
+  std::vector<int> FirstSite(Env.size() + 1, 0);
+  for (size_t S = 0; S < Env.size(); ++S)
+    FirstSite[S + 1] =
+        FirstSite[S] + static_cast<int>(Env.sample(S).Sites.size());
+  std::vector<ContextSpan> Spans;
+  std::vector<int> SiteKeys;
   std::vector<LegalityDigest> Digests;
-  Contexts.reserve(B);
+  Spans.reserve(B);
+  SiteKeys.reserve(B);
   Digests.reserve(B);
   for (const Transition &T : Batch) {
-    Contexts.push_back(Env.sample(T.SampleIdx).Contexts[T.SiteIdx]);
+    const std::vector<PathContext> &Bag =
+        Env.sample(T.SampleIdx).Contexts[T.SiteIdx];
+    Spans.push_back({Bag.data(), Bag.size()});
+    SiteKeys.push_back(FirstSite[T.SampleIdx] + static_cast<int>(T.SiteIdx));
     Digests.push_back(Env.legality(T.SampleIdx, T.SiteIdx).digest());
   }
 
@@ -126,6 +137,12 @@ double PPORunner::update(const std::vector<Transition> &Batch,
   for (int I = 0; I < B; ++I)
     Order[I] = I;
   const int MB = std::max(1, std::min(Config.MiniBatchSize, B));
+
+  // Per-minibatch dedup: the encode slot of each site key (-1 = not yet
+  // encoded in this minibatch), the distinct bags, and each row's slot.
+  std::vector<int> SlotOfKey(FirstSite.back(), -1);
+  std::vector<ContextSpan> UniqueSpans;
+  std::vector<int> SlotOfRow;
 
   double TotalLoss = 0.0;
   int NumMinibatches = 0;
@@ -138,14 +155,31 @@ double PPORunner::update(const std::vector<Transition> &Batch,
       for (Param *P : AllParams)
         P->zeroGrad();
 
-      std::vector<std::vector<PathContext>> MiniContexts;
-      MiniContexts.reserve(M);
+      // Encode each distinct site once; its rows share the forward cache
+      // (encoding is deterministic, so every copy has the same bits).
+      UniqueSpans.clear();
+      SlotOfRow.resize(M);
       DigestBuf.clear();
-      for (int I = Start; I < End; ++I) {
-        MiniContexts.push_back(Contexts[Order[I]]);
-        DigestBuf.push_back(Digests[Order[I]]);
+      for (int I = 0; I < M; ++I) {
+        const int Row = Order[Start + I];
+        int &Slot = SlotOfKey[SiteKeys[Row]];
+        if (Slot < 0) {
+          Slot = static_cast<int>(UniqueSpans.size());
+          UniqueSpans.push_back(Spans[Row]);
+        }
+        SlotOfRow[I] = Slot;
+        DigestBuf.push_back(Digests[Row]);
       }
-      Embedder.encodeBatchInto(MiniContexts, StatesBuf, MathPool);
+      for (int I = Start; I < End; ++I)
+        SlotOfKey[SiteKeys[Order[I]]] = -1;
+      Embedder.encodeSpansForBackwardInto(UniqueSpans, UniqueStatesBuf,
+                                          MathPool);
+      const int CodeDim = UniqueStatesBuf.cols();
+      StatesBuf.resize(M, CodeDim);
+      for (int I = 0; I < M; ++I) {
+        const double *Code = UniqueStatesBuf.rowPtr(SlotOfRow[I]);
+        std::copy(Code, Code + CodeDim, StatesBuf.rowPtr(I));
+      }
       const Matrix &States = widenStates(
           StatesBuf, Pol.inputDim(), DigestBuf.data(), DigestBuf.size(),
           Env.compiler().target(), WideStatesBuf);
@@ -195,9 +229,9 @@ double PPORunner::update(const std::vector<Transition> &Batch,
         for (int R = 0; R < dStates.rows(); ++R)
           std::copy(dStates.rowPtr(R), dStates.rowPtr(R) + StatesBuf.cols(),
                     NarrowGradBuf.rowPtr(R));
-        Embedder.backward(NarrowGradBuf);
+        Embedder.backward(NarrowGradBuf, SlotOfRow);
       } else {
-        Embedder.backward(dStates);
+        Embedder.backward(dStates, SlotOfRow);
       }
       clipGradNorm(AllParams, Config.MaxGradNorm);
       Optimizer.step(AllParams);

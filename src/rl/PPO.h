@@ -135,6 +135,7 @@ private:
   EMA RewardEMA{0.1};
   ThreadPool *MathPool = nullptr;
   Matrix StatesBuf; ///< Reused encode output (allocation-free forwards).
+  Matrix UniqueStatesBuf; ///< update(): code vectors of distinct sites.
   /// Reused widened-state buffer and digest scratch for policies built
   /// with legality features (see rl/StateFeatures.h); untouched otherwise.
   Matrix WideStatesBuf;

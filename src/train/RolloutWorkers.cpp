@@ -47,13 +47,21 @@ void RolloutWorkers::runEpisode(Replica &R, RNG Rng, size_t ActiveSamples,
   // Replica-owned buffers + in-place kernels: steady-state episodes do not
   // touch the heap (the worker threads are the parallelism here, so the
   // kernels themselves run serial — no nested pool). Replicas never
-  // backprop, so the backward caches are skipped too.
-  R.Embedder.encodeBatchInto(Sample.Contexts, R.StatesBuf);
+  // backprop, so they encode forward-only from the env's bags, once per
+  // program and collect().
+  Matrix &Codes = R.Codes[SampleIdx];
+  if (!R.CodeValid[SampleIdx]) {
+    R.SpanBuf.clear();
+    for (const std::vector<PathContext> &Bag : Sample.Contexts)
+      R.SpanBuf.push_back({Bag.data(), Bag.size()});
+    R.Embedder.encodeSpansInto(R.SpanBuf, Codes);
+    R.CodeValid[SampleIdx] = 1;
+  }
   R.DigestBuf.clear();
   for (size_t S = 0; S < NumSites; ++S)
     R.DigestBuf.push_back(Env.legality(SampleIdx, S).digest());
   const Matrix &States =
-      widenStates(R.StatesBuf, R.Pol.inputDim(), R.DigestBuf.data(),
+      widenStates(Codes, R.Pol.inputDim(), R.DigestBuf.data(),
                   R.DigestBuf.size(), TI, R.WideStatesBuf);
   R.Pol.forward(States, nullptr, /*ForBackward=*/false);
 
@@ -84,10 +92,13 @@ void RolloutWorkers::collect(Code2Vec &MasterEmbedder, Policy &MasterPolicy,
          "active sample range must be a non-empty prefix of the env");
   assert(MinTransitions > 0 && "batch must request at least one transition");
 
-  // 1. Broadcast master weights to every replica (RLlib-style sync).
+  // 1. Broadcast master weights to every replica (RLlib-style sync); code
+  // vectors encoded under the old weights are stale.
   for (auto &R : Replicas) {
     copyParams(MasterEmbedder.params(), R->Embedder.params());
     copyParams(MasterPolicy.params(), R->Pol.params());
+    R->Codes.resize(Env.size());
+    R->CodeValid.assign(Env.size(), 0);
   }
 
   // 2. Lay out the episode plan serially. Each episode's stream starts by

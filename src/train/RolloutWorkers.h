@@ -26,6 +26,11 @@
 /// So 1-worker and 16-worker training produce bit-identical batches, and
 /// therefore bit-identical final models (asserted in tests/TrainTest.cpp).
 ///
+/// Weights are fixed within one collect(), so each replica encodes a
+/// program at most once per collect and reuses the code vectors for every
+/// later episode of that program (encoding is deterministic, so the reuse
+/// changes no bit). The memo is dropped at the next weight sync.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NV_TRAIN_ROLLOUTWORKERS_H
@@ -83,9 +88,14 @@ private:
     RNG InitRng;
     Code2Vec Embedder;
     Policy Pol;
-    Matrix StatesBuf; ///< Reused encode output: episodes allocate nothing.
     Matrix WideStatesBuf; ///< Feature-widened states (legality features).
     std::vector<LegalityDigest> DigestBuf;
+    std::vector<ContextSpan> SpanBuf; ///< The episode program's bags.
+    /// Code vectors per environment program under the current weights,
+    /// encoded on the program's first episode of a collect(). Valid only
+    /// where CodeValid is set, which every weight sync clears.
+    std::vector<Matrix> Codes;
+    std::vector<char> CodeValid;
 
     explicit Replica(const RolloutModelSpec &Spec)
         : InitRng(1), Embedder(Spec.Embedding, InitRng),

@@ -2,8 +2,11 @@
 
 #include "core/NeuroVectorizer.h"
 #include "dataset/LoopGenerator.h"
+#include "lang/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace nv;
 
@@ -117,3 +120,33 @@ TEST(NeuroVectorizer, DeterministicAcrossIdenticalRuns) {
 }
 
 } // namespace
+
+TEST(NeuroVectorizer, UnparseableSourceThrowsTheParserMessage) {
+  NeuroVectorizer NV(testConfig());
+  ASSERT_TRUE(NV.addTrainingProgram("dot", DotProduct));
+  // Pointer parameters are not LoopLang.
+  const std::string Bad = "void f(float* x, float* y, int n) { for (int i = "
+                          "0; i < n; i++) y[i] = x[i]; }";
+  std::string ParserMessage;
+  ASSERT_FALSE(parseSource(Bad, &ParserMessage).has_value());
+  ASSERT_FALSE(ParserMessage.empty());
+
+  const auto ExpectThrows = [&](auto Call) {
+    try {
+      Call();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument &E) {
+      EXPECT_NE(std::string(E.what()).find(ParserMessage), std::string::npos)
+          << E.what();
+    }
+  };
+  ExpectThrows([&] { NV.annotate(Bad); });
+  ExpectThrows([&] { NV.plansFor(Bad); });
+  ExpectThrows([&] { NV.plansFor(Bad, PredictMethod::BruteForce); });
+  ExpectThrows([&] { NV.cyclesFor(Bad, PredictMethod::RL); });
+  ExpectThrows([&] { NV.speedupOverBaseline(Bad, PredictMethod::RL); });
+
+  // A program without loops parses but has nothing to time.
+  EXPECT_THROW(NV.cyclesFor("int x; void f() { x = 1; }", PredictMethod::RL),
+               std::invalid_argument);
+}

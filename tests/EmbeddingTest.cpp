@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace nv;
 
@@ -245,6 +246,60 @@ TEST(Code2Vec, AttentionWeightsAreADistribution) {
   for (int D = 0; D < Config.CodeDim; ++D) {
     EXPECT_LE(V.at(0, D), 1.0);
     EXPECT_GE(V.at(0, D), -1.0);
+  }
+}
+
+TEST(Code2Vec, SharedForwardCachesGiveExpandedBatchGradients) {
+  // Rows 0, 2 and 5 share one bag, rows 1 and 4 another; row 3 is empty.
+  // Backward through one cache per distinct bag must give every parameter
+  // the bits of a backward over the expanded duplicate batch.
+  Code2VecConfig Config;
+  std::vector<std::vector<PathContext>> Bags = {
+      contextsOf("float a[64]; float b[64]; void f() { for (int i = 0; i < "
+                 "64; i++) { a[i] = a[i] * b[i] + 1.0; } }",
+                 Config.Paths),
+      contextsOf("int v[32]; int s; void f() { for (int i = 0; i < 32; "
+                 "i++) { s += v[i] * v[i]; } }",
+                 Config.Paths),
+      {}};
+  const std::vector<int> SampleOfRow = {0, 1, 0, 2, 1, 0};
+  const int Rows = static_cast<int>(SampleOfRow.size());
+
+  RNG RA(21), RB(21);
+  Code2Vec Expanded(Config, RA), Shared(Config, RB);
+  RNG GradRng(5);
+  Matrix dV(Rows, Config.CodeDim);
+  dV.initGaussian(GradRng, 1.0);
+
+  std::vector<std::vector<PathContext>> ExpandedBags;
+  for (int S : SampleOfRow)
+    ExpandedBags.push_back(Bags[S]);
+  Matrix VExpanded, VShared;
+  Expanded.encodeBatchInto(ExpandedBags, VExpanded);
+  std::vector<ContextSpan> Spans;
+  for (const auto &Bag : Bags)
+    Spans.push_back({Bag.data(), Bag.size()});
+  Shared.encodeSpansForBackwardInto(Spans, VShared);
+  for (int R = 0; R < Rows; ++R)
+    EXPECT_EQ(std::memcmp(VExpanded.rowPtr(R), VShared.rowPtr(SampleOfRow[R]),
+                          sizeof(double) * Config.CodeDim),
+              0)
+        << "code vector of row " << R;
+
+  for (Param *P : Expanded.params())
+    P->zeroGrad();
+  for (Param *P : Shared.params())
+    P->zeroGrad();
+  Expanded.backward(dV);
+  Shared.backward(dV, SampleOfRow);
+  const std::vector<Param *> A = Expanded.params(), B = Shared.params();
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    ASSERT_EQ(A[I]->Grad.size(), B[I]->Grad.size());
+    EXPECT_EQ(std::memcmp(A[I]->Grad.raw().data(), B[I]->Grad.raw().data(),
+                          sizeof(double) * A[I]->Grad.size()),
+              0)
+        << "gradient of parameter " << I;
   }
 }
 

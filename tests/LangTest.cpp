@@ -289,3 +289,77 @@ TEST(AST, CloneIsDeep) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Nesting bound: deep input is a parse error, not a stack overflow
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// `y[0] = ` followed by \p Depth nested parentheses around `1`.
+std::string nestedParens(int Depth) {
+  return "float y[4]; void f() { y[0] = " + std::string(Depth, '(') + "1" +
+         std::string(Depth, ')') + "; }";
+}
+
+void expectNestingError(const std::string &Source) {
+  std::string Error;
+  EXPECT_FALSE(parseSource(Source, &Error).has_value());
+  EXPECT_NE(Error.find("nesting deeper than " +
+                       std::to_string(Parser::MaxNestingDepth) + " levels"),
+            std::string::npos)
+      << Error;
+}
+
+} // namespace
+
+TEST(Parser, NestingExactlyAtTheBoundParses) {
+  // The statement and its right-hand side take two levels; every
+  // parenthesis adds one.
+  const int AtBound = Parser::MaxNestingDepth - 2;
+  std::string Error;
+  EXPECT_TRUE(parseSource(nestedParens(AtBound), &Error).has_value())
+      << Error;
+  expectNestingError(nestedParens(AtBound + 1));
+
+  // A left-associative chain of N operands builds a tree N - 1 operators
+  // deep; each operator is one level.
+  const auto Chain = [](int Operands) {
+    std::string Source = "float y[4]; void f() { y[0] = 1";
+    for (int I = 1; I < Operands; ++I)
+      Source += " + 1";
+    return Source + "; }";
+  };
+  EXPECT_TRUE(parseSource(Chain(AtBound + 1), &Error).has_value()) << Error;
+  expectNestingError(Chain(AtBound + 2));
+}
+
+TEST(Parser, DeepNestingFailsCleanly) {
+  const int Deep = 30000;
+  expectNestingError(nestedParens(Deep));
+
+  std::string Unary = "float y[4]; void f() { y[0] = ";
+  for (int I = 0; I < Deep; ++I)
+    Unary += "- ";
+  expectNestingError(Unary + "1; }");
+
+  std::string Conditional = "float y[4]; void f() { y[0] = ";
+  for (int I = 0; I < Deep; ++I)
+    Conditional += "1 ? 1 : ";
+  expectNestingError(Conditional + "1; }");
+
+  expectNestingError("void f() { " + std::string(Deep, '{') +
+                     std::string(Deep, '}') + " }");
+
+  // Binary operators fold in a loop, but the tree they build is as deep
+  // as the chain is long; so is a chain whose operands are subtrees.
+  std::string Sum = "float x[4]; float y[4]; void f() { y[0] = x[0]";
+  for (int I = 0; I < Deep; ++I)
+    Sum += " + x[0]";
+  expectNestingError(Sum + "; }");
+
+  std::string Mixed = "float y[4]; void f() { y[0] = 1";
+  for (int I = 0; I < Deep; ++I)
+    Mixed += I % 2 ? " * -(1 - 1)" : " - 1 * 1";
+  expectNestingError(Mixed + "; }");
+}

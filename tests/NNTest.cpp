@@ -1,5 +1,6 @@
 //===- tests/NNTest.cpp - Matrix/layers/optimizer/distribution tests ------===//
 
+#include "nn/Attention.h"
 #include "nn/Distributions.h"
 #include "nn/Kernels.h"
 #include "nn/Layers.h"
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 using namespace nv;
 
@@ -663,4 +665,191 @@ TEST(KernelsInt8, MLPQuantizeRoundTrip) {
 
   Net.clearQuantized();
   EXPECT_FALSE(Net.isQuantized());
+}
+
+//===----------------------------------------------------------------------===//
+// Element loops with a fixed operation order: bit-equal to scalar loops
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectSameBits(const double *A, const double *B, size_t N,
+                    const std::string &What) {
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_EQ(std::memcmp(&A[I], &B[I], sizeof(double)), 0)
+        << What << " differs at " << I << ": " << A[I] << " vs " << B[I];
+}
+
+/// Adam as a plain one-element-at-a-time loop.
+struct ReferenceAdam {
+  double LearningRate, Beta1 = 0.9, Beta2 = 0.999, Epsilon = 1e-8;
+  long long StepCount = 0;
+  std::vector<double> M, V;
+
+  void step(Param &P) {
+    M.resize(P.Value.size(), 0.0);
+    V.resize(P.Value.size(), 0.0);
+    ++StepCount;
+    const double BiasCorrection1 =
+        1.0 - std::pow(Beta1, static_cast<double>(StepCount));
+    const double BiasCorrection2 =
+        1.0 - std::pow(Beta2, static_cast<double>(StepCount));
+    for (size_t I = 0; I < P.Value.size(); ++I) {
+      const double G = P.Grad.raw()[I];
+      M[I] = Beta1 * M[I] + (1.0 - Beta1) * G;
+      V[I] = Beta2 * V[I] + (1.0 - Beta2) * G * G;
+      const double MHat = M[I] / BiasCorrection1;
+      const double VHat = V[I] / BiasCorrection2;
+      P.Value.raw()[I] -= LearningRate * MHat / (std::sqrt(VHat) + Epsilon);
+    }
+  }
+};
+
+/// The attention pooling forward as one row at a time.
+void referenceAttentionForward(const Matrix &C, const double *Attn,
+                               std::vector<double> &Alpha,
+                               std::vector<double> &V) {
+  const int N = C.rows(), D = C.cols();
+  Alpha.assign(N, 0.0);
+  V.assign(D, 0.0);
+  double MaxScore = -1e300;
+  for (int I = 0; I < N; ++I) {
+    double Dot = 0.0;
+    for (int K = 0; K < D; ++K)
+      Dot += C.at(I, K) * Attn[K];
+    Alpha[I] = Dot;
+    MaxScore = std::max(MaxScore, Dot);
+  }
+  double Norm = 0.0;
+  for (int I = 0; I < N; ++I) {
+    Alpha[I] = std::exp(Alpha[I] - MaxScore);
+    Norm += Alpha[I];
+  }
+  for (int I = 0; I < N; ++I)
+    Alpha[I] /= Norm;
+  for (int I = 0; I < N; ++I)
+    for (int K = 0; K < D; ++K)
+      V[K] += Alpha[I] * C.at(I, K);
+}
+
+/// Its backward through tanh rows, one row and one step at a time.
+void referenceAttentionBackward(const Matrix &C, const double *Attn,
+                                const std::vector<double> &Alpha,
+                                const double *dV, double *dAttn,
+                                Matrix &dC) {
+  const int N = C.rows(), D = C.cols();
+  std::vector<double> dAlpha(N, 0.0), dScore(N);
+  dC.resize(N, D);
+  for (int I = 0; I < N; ++I) {
+    double Dot = 0.0;
+    for (int K = 0; K < D; ++K) {
+      Dot += C.at(I, K) * dV[K];
+      dC.at(I, K) = Alpha[I] * dV[K];
+    }
+    dAlpha[I] = Dot;
+  }
+  double Weighted = 0.0;
+  for (int I = 0; I < N; ++I)
+    Weighted += Alpha[I] * dAlpha[I];
+  for (int I = 0; I < N; ++I)
+    dScore[I] = Alpha[I] * (dAlpha[I] - Weighted);
+  for (int I = 0; I < N; ++I)
+    for (int K = 0; K < D; ++K) {
+      dAttn[K] += dScore[I] * C.at(I, K);
+      dC.at(I, K) += dScore[I] * Attn[K];
+    }
+  for (int I = 0; I < N; ++I)
+    for (int K = 0; K < D; ++K)
+      dC.at(I, K) *= 1.0 - C.at(I, K) * C.at(I, K);
+}
+
+} // namespace
+
+TEST(KernelIsa, AdamStepBitEqualToScalarLoop) {
+  IsaGuard Guard;
+  for (KernelIsa Isa : availableIsas()) {
+    setKernelIsa(Isa);
+    // Odd sizes leave a tail after the vector loop.
+    for (int Cols : {1, 2, 3, 5, 8, 17, 64, 67}) {
+      RNG Rng(100 + Cols);
+      Param P(3, Cols), Q(3, Cols);
+      P.Value = randomMatrix(3, Cols, Rng);
+      Q.Value = P.Value;
+      Adam Opt(1e-2);
+      ReferenceAdam Ref{1e-2};
+      for (int Step = 0; Step < 4; ++Step) {
+        P.Grad = randomMatrix(3, Cols, Rng);
+        P.Grad.at(0, 0) = 0.0; // A zero gradient still moves the moments.
+        Q.Grad = P.Grad;
+        Opt.step({&P});
+        Ref.step(Q);
+        expectSameBits(P.Value.raw().data(), Q.Value.raw().data(),
+                       P.Value.size(),
+                       std::string("Adam ") + kernelIsaName(Isa) + " cols " +
+                           std::to_string(Cols));
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, AttentionPoolBitEqualToScalarLoops) {
+  IsaGuard Guard;
+  for (KernelIsa Isa : availableIsas()) {
+    setKernelIsa(Isa);
+    for (int N : {1, 2, 3, 4, 5, 7, 8, 9, 13}) {
+      for (int D : {1, 3, 4, 5, 16, 17, 64}) {
+        const std::string What = std::string(kernelIsaName(Isa)) + " N " +
+                                 std::to_string(N) + " D " +
+                                 std::to_string(D);
+        RNG Rng(7 * N + D);
+        Matrix C = randomMatrix(N, D, Rng);
+        applyActivation(C, Activation::Tanh);
+        const Matrix AttnRow = randomMatrix(1, D, Rng);
+        const Matrix dVRow = randomMatrix(1, D, Rng);
+        const double *Attn = AttnRow.rowPtr(0);
+
+        std::vector<double> Alpha(N), V(D), RefAlpha, RefV;
+        attentionPoolForward(C, Attn, Alpha.data(), V.data());
+        referenceAttentionForward(C, Attn, RefAlpha, RefV);
+        expectSameBits(Alpha.data(), RefAlpha.data(), N, "alpha " + What);
+        expectSameBits(V.data(), RefV.data(), D, "v " + What);
+
+        // Accumulate into a non-zero attention gradient, twice, as
+        // backward() does across the rows of a batch.
+        Matrix dAttn = randomMatrix(1, D, Rng), RefdAttn = dAttn;
+        Matrix dPre, RefdC;
+        std::vector<double> Scratch;
+        for (int Pass = 0; Pass < 2; ++Pass) {
+          attentionPoolBackward(C, Attn, Alpha.data(), dVRow.rowPtr(0),
+                                dAttn.rowPtr(0), dPre, Scratch);
+          referenceAttentionBackward(C, Attn, RefAlpha, dVRow.rowPtr(0),
+                                     RefdAttn.rowPtr(0), RefdC);
+        }
+        expectSameBits(dAttn.raw().data(), RefdAttn.raw().data(), D,
+                       "dAttn " + What);
+        expectSameBits(dPre.raw().data(), RefdC.raw().data(), N * D,
+                       "dPre " + What);
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, SumRowsBitEqualToScalarLoop) {
+  IsaGuard Guard;
+  for (KernelIsa Isa : availableIsas()) {
+    setKernelIsa(Isa);
+    for (int Rows : {1, 3, 4, 5, 9}) {
+      for (int Cols : {1, 3, 16, 17}) {
+        RNG Rng(31 * Rows + Cols);
+        const Matrix A = randomMatrix(Rows, Cols, Rng);
+        Matrix Out = randomMatrix(1, Cols, Rng), Ref = Out;
+        sumRowsInto(Out, A, /*Accumulate=*/true);
+        for (int I = 0; I < Rows; ++I)
+          for (int J = 0; J < Cols; ++J)
+            Ref.at(0, J) += A.at(I, J);
+        expectSameBits(Out.raw().data(), Ref.raw().data(), Cols,
+                       std::string("sumRows ") + kernelIsaName(Isa));
+      }
+    }
+  }
 }

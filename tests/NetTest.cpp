@@ -796,3 +796,49 @@ TEST(ModelHost, QuantizedGenerationServesFp32PlansAcrossReload) {
   EXPECT_EQ(RDot.Generation, 1u);
   EXPECT_GT(Service.stats().QuantizedBatches.load(), 0u);
 }
+
+TEST(NetServer, DeeplyNestedProgramIsARejectionNotACrash) {
+  TestServer S;
+  const uint16_t Port = S.start();
+  ASSERT_NE(Port, 0);
+  NetClient Client;
+  std::string Error;
+  ASSERT_TRUE(Client.connect("127.0.0.1", Port, &Error)) << Error;
+
+  // About 60 KB, far under the frame ceiling, and deep enough to
+  // overflow the stack of an unbounded recursive-descent parser.
+  const int Deep = 30000;
+  const std::string Source =
+      "float x[256]; float y[256]; void f() { for (int i = 0; i < 256; "
+      "i++) { y[i] = " +
+      std::string(Deep, '(') + "x[i]" + std::string(Deep, ')') + "; } }";
+  net::AnnotateResponseBody Res;
+  WireStatus Status;
+  ASSERT_TRUE(Client.annotate(makeBatch({Source}), Res, Status, &Error))
+      << Error;
+  ASSERT_EQ(Status, WireStatus::Ok);
+  ASSERT_EQ(Res.Results.size(), 1u);
+  EXPECT_FALSE(Res.Results[0].Ok);
+  EXPECT_NE(Res.Results[0].Error.find("nesting deeper than"),
+            std::string::npos)
+      << Res.Results[0].Error;
+
+  // A long operator chain builds an equally deep tree without recursing
+  // in the parser; it is rejected the same way.
+  std::string Chain = "float x[256]; float y[256]; void f() { for (int i = "
+                      "0; i < 256; i++) { y[i] = x[i]";
+  for (int I = 0; I < Deep; ++I)
+    Chain += "+x[i]";
+  ASSERT_TRUE(Client.annotate(makeBatch({Chain + "; } }"}), Res, Status,
+                              &Error))
+      << Error;
+  ASSERT_EQ(Status, WireStatus::Ok);
+  ASSERT_EQ(Res.Results.size(), 1u);
+  EXPECT_FALSE(Res.Results[0].Ok);
+  EXPECT_NE(Res.Results[0].Error.find("nesting deeper than"),
+            std::string::npos)
+      << Res.Results[0].Error;
+
+  // The daemon is still there.
+  EXPECT_TRUE(Client.ping(&Error)) << Error;
+}

@@ -171,6 +171,25 @@ TEST(RolloutWorkers, DifferentBaseStatesGiveDifferentBatches) {
   EXPECT_TRUE(Differs);
 }
 
+TEST(RolloutWorkers, ReusedWorkersReencodeAfterAWeightChange) {
+  // Workers memoize code vectors within one collect(); after the master
+  // weights move, a reused pool must roll out like a fresh one.
+  VectorizationEnv Env{SimCompiler(), PathContextConfig()};
+  fillEnv(Env, 6);
+  RolloutModelSpec Spec = smallSpec();
+  MasterModel Master(Spec, 3);
+  RolloutWorkers Reused(Env, Spec, 2);
+  RolloutBuffer Before, After, Fresh;
+  Reused.collect(Master.Embedder, Master.Pol, RNG(42), Env.size(), 64,
+                 Before);
+  for (Param *P : Master.Embedder.params())
+    P->Value *= 1.5;
+  Reused.collect(Master.Embedder, Master.Pol, RNG(42), Env.size(), 64, After);
+  RolloutWorkers(Env, Spec, 2)
+      .collect(Master.Embedder, Master.Pol, RNG(42), Env.size(), 64, Fresh);
+  expectSameTransitions(After, Fresh);
+}
+
 //===----------------------------------------------------------------------===//
 // Curriculum.
 //===----------------------------------------------------------------------===//
