@@ -19,13 +19,9 @@
 #include "core/NeuroVectorizer.h"
 #include "dataset/LoopGenerator.h"
 
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 namespace nv {
@@ -57,83 +53,6 @@ makeTrainedVectorizer(int NumPrograms, long long TrainSteps,
     NV->train(TrainSteps);
   return NV;
 }
-
-/// Flat JSON metric emitter for the perf trajectory: each bench writes a
-/// BENCH_<name>.json of {"bench": ..., "meta": {...}, "metrics":
-/// {key: number, ...}} that CI uploads as an artifact, so throughput
-/// history is diffable across commits without parsing table output. The
-/// meta block records where the numbers came from — git sha, compiler,
-/// build type, hardware thread count — and is ignored by the comparison
-/// gate (tools/bench_compare.py reads only "metrics").
-class BenchJson {
-public:
-  explicit BenchJson(std::string Bench) : Bench(std::move(Bench)) {}
-
-  void add(const std::string &Key, double Value) {
-    Metrics.emplace_back(Key, Value);
-  }
-
-  /// The provenance block stamped into every bench JSON.
-  static std::string metaJson() {
-#ifdef NV_GIT_SHA
-    const char *GitSha = NV_GIT_SHA;
-#else
-    const char *GitSha = "unknown";
-#endif
-#ifdef NDEBUG
-    const char *BuildType = "Release";
-#else
-    const char *BuildType = "Debug";
-#endif
-    std::ostringstream OS;
-    OS << "{\"git_sha\": \"" << GitSha << "\", \"compiler\": \""
-       << __VERSION__ << "\", \"build_type\": \"" << BuildType
-       << "\", \"hardware_threads\": "
-       << std::thread::hardware_concurrency() << "}";
-    return OS.str();
-  }
-
-  std::string str() const {
-    std::ostringstream OS;
-    OS << "{\"bench\": \"" << Bench << "\", \"meta\": " << metaJson()
-       << ", \"metrics\": {";
-    for (size_t I = 0; I < Metrics.size(); ++I) {
-      if (I)
-        OS << ", ";
-      OS << "\"" << Metrics[I].first << "\": ";
-      const double V = Metrics[I].second;
-      // Large counts as integers, rates with fixed precision.
-      if (V == static_cast<long long>(V))
-        OS << static_cast<long long>(V);
-      else {
-        OS.precision(4);
-        OS << std::fixed << V;
-        OS.unsetf(std::ios::fixed);
-      }
-    }
-    OS << "}}";
-    return OS.str();
-  }
-
-  /// Writes BENCH_<suffix>.json in the working directory and echoes the
-  /// path; returns false on I/O failure (reported, not fatal — timing
-  /// files must never fail a correctness-gated bench).
-  bool write(const std::string &Suffix) const {
-    const std::string Path = "BENCH_" + Suffix + ".json";
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << str() << "\n";
-    if (!Out) {
-      std::cerr << "warning: could not write " << Path << "\n";
-      return false;
-    }
-    std::cout << "wrote " << Path << "\n";
-    return true;
-  }
-
-private:
-  std::string Bench;
-  std::vector<std::pair<std::string, double>> Metrics;
-};
 
 } // namespace nv
 

@@ -98,20 +98,5 @@ int main(int argc, char **argv) {
   std::cout << "  RL / brute-force = "
             << Table::fmt(100.0 * mean(RL) / mean(Brute), 1)
             << "% (paper: ~97%)\n";
-
-  // Quality metrics for the perf trajectory. Deliberately no *_per_sec
-  // keys: these are figure-quality numbers, not throughput, so the CI
-  // regression gate reports them without gating on them.
-  BenchJson Json(Smoke ? "fig7_benchmarks_smoke" : "fig7_benchmarks");
-  Json.add("smoke", Smoke ? 1 : 0);
-  Json.add("train_steps", static_cast<double>(TrainSteps));
-  Json.add("random_mean_speedup", mean(Random));
-  Json.add("polly_mean_speedup", mean(Polly));
-  Json.add("nns_mean_speedup", mean(NNS));
-  Json.add("tree_mean_speedup", mean(Tree));
-  Json.add("rl_mean_speedup", mean(RL));
-  Json.add("brute_mean_speedup", mean(Brute));
-  Json.add("rl_vs_brute_pct", 100.0 * mean(RL) / mean(Brute));
-  Json.write(Smoke ? "fig7_smoke" : "fig7");
   return 0;
 }

@@ -12,8 +12,7 @@
 // transient machine noise (a background task hitting one round) cannot
 // charge its cost to either side. The acceptance bar is overhead within
 // NV_TELEMETRY_MAX_OVERHEAD (default 3%); the bench exits 1 beyond it,
-// which is what lets CI pin a 3% bound that the coarse 25% baseline gate
-// cannot.
+// which is how CI pins the bound.
 //
 //===----------------------------------------------------------------------===//
 
@@ -126,15 +125,6 @@ int main() {
 
   std::cout << "\nper-phase latency distributions (instrumented service):\n";
   Telemetry::metrics().histogramTable().print(std::cout);
-
-  BenchJson Json("telemetry_overhead");
-  Json.add("requests", Requests.size());
-  Json.add("uninstrumented_programs_per_sec", PlainPerSec);
-  Json.add("instrumented_programs_per_sec", InstrPerSec);
-  Json.add("traced_programs_per_sec", TracedPerSec);
-  Json.add("histogram_overhead_fraction", Overhead);
-  Json.add("trace_overhead_fraction", TraceOverhead);
-  Json.write("telemetry");
 
   if (Overhead > MaxOverhead) {
     std::cerr << "\nFAIL: telemetry overhead " << Overhead * 100.0

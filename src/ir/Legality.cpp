@@ -2,8 +2,6 @@
 
 #include "ir/Legality.h"
 
-#include "ir/Dependence.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -11,6 +9,15 @@
 #include <sstream>
 
 using namespace nv;
+
+int nv::floorPow2(long long X) {
+  if (X <= 1)
+    return 1;
+  int P = 1;
+  while (2LL * P <= X && P < (1 << 29))
+    P *= 2;
+  return P;
+}
 
 const char *nv::accessClassName(AccessClass C) {
   switch (C) {
@@ -225,16 +232,24 @@ bool nv::testAccessPair(const MemAccess &Store, const MemAccess &Other,
 namespace {
 
 /// Dependence sweep over all store<->access pairs (including self-pairs:
-/// an invariant store serializes against itself).
+/// an invariant store serializes against itself). The only computation of
+/// the max safe VF: lowering runs it without an edge list, analyzeLegality
+/// with one.
 struct DepSweep {
-  std::vector<DependenceEdge> Edges;
   long long MinBindingDistance = 0; ///< 0 = no binding constant distance.
   bool HasUnknown = false;
   int MaxSafeVF = 1;
 
-  void run(const std::vector<MemAccess> &Accesses,
-           const std::string &InnerVar, const IterationDomain &Domain,
-           int HWMaxVF) {
+  void run(const LoopSummary &Loop, int HWMaxVF,
+           std::vector<DependenceEdge> *Edges) {
+    IterationDomain Domain;
+    Domain.Lo = Loop.InnerVarLo;
+    Domain.Step = Loop.InnerStep == 0 ? 1 : Loop.InnerStep;
+    Domain.Trip = Loop.RuntimeTrip > 0 ? Loop.RuntimeTrip : -1;
+    static const std::string NoVar;
+    const std::string &InnerVar = Loop.Loop ? Loop.Loop->IndexVar : NoVar;
+    const std::vector<MemAccess> &Accesses = Loop.Accesses;
+
     long long Bound = HWMaxVF;
     for (size_t S = 0; S < Accesses.size(); ++S) {
       const MemAccess &Store = Accesses[S];
@@ -258,14 +273,23 @@ struct DepSweep {
             MinBindingDistance = D;
         }
         HasUnknown |= Edge.Unknown;
-        Edges.push_back(Edge);
+        if (Edges)
+          Edges->push_back(Edge);
       }
     }
-    MaxSafeVF = floorPow2(std::min<long long>(Bound, HWMaxVF));
+    MaxSafeVF = Loop.HasUnknownCall || Loop.HasScalarCycle
+                    ? 1
+                    : floorPow2(std::min<long long>(Bound, HWMaxVF));
   }
 };
 
 } // namespace
+
+int nv::maxSafeVF(const LoopSummary &Loop, int HWMaxVF) {
+  DepSweep Sweep;
+  Sweep.run(Loop, HWMaxVF, /*Edges=*/nullptr);
+  return Sweep.MaxSafeVF;
+}
 
 VectorPlan nv::legalizePlan(int MaxSafeVF, VectorPlan Requested,
                             const TargetInfo &TI) {
@@ -349,20 +373,11 @@ LegalitySummary nv::analyzeLegality(const LoopSummary &Loop,
   for (const MemAccess &Access : Loop.Accesses)
     L.Classes.push_back(classifyAccess(Access, Loop.InnerStep));
 
-  IterationDomain Domain;
-  Domain.Lo = Loop.InnerVarLo;
-  Domain.Step = Loop.InnerStep == 0 ? 1 : Loop.InnerStep;
-  Domain.Trip = Loop.RuntimeTrip > 0 ? Loop.RuntimeTrip : -1;
-
   DepSweep Sweep;
-  Sweep.run(Loop.Accesses, Loop.Loop ? Loop.Loop->IndexVar : std::string(),
-            Domain, TI.MaxVF);
-  L.Edges = std::move(Sweep.Edges);
+  Sweep.run(Loop, TI.MaxVF, &L.Edges);
   L.MinDependenceDistance = Sweep.MinBindingDistance;
   L.HasUnknownDep = Sweep.HasUnknown;
   L.MaxSafeVF = Sweep.MaxSafeVF;
-  if (Loop.HasUnknownCall || Loop.HasScalarCycle)
-    L.MaxSafeVF = 1;
 
   const std::vector<int> VFs = TI.vfActions();
   const std::vector<int> IFs = TI.ifActions();

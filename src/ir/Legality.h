@@ -100,6 +100,15 @@ bool testAccessPair(const MemAccess &Store, const MemAccess &Other,
                     int SrcIdx, int DstIdx, const std::string &InnerVar,
                     const IterationDomain &Domain, DependenceEdge &Out);
 
+/// Rounds \p X down to a power of two (minimum 1).
+int floorPow2(long long X);
+
+/// Largest power-of-two VF (<= \p HWMaxVF) that \p Loop's dependences,
+/// calls and scalar recurrences allow, from the iteration domain recorded
+/// on the summary. Lowering stores it in LoopSummary::MaxSafeVF;
+/// analyzeLegality computes the same value with its edge list.
+int maxSafeVF(const LoopSummary &Loop, int HWMaxVF);
+
 /// Legal-(VF, IF) bitmask over the action grid. Bit (VFIdx * NumIF + IFIdx)
 /// is set when that grid point is legal. Fits in one word for the default
 /// 7x5 grid.

@@ -4,7 +4,7 @@
 
 #include "ir/AccessAnalysis.h"
 #include "ir/ConstEval.h"
-#include "ir/Dependence.h"
+#include "ir/Legality.h"
 
 #include <cassert>
 #include <unordered_map>
@@ -570,15 +570,7 @@ LoopSummary LoweringContext::run() {
   Summary.InnerVarLo = static_cast<long long>(
       evalExpr(*Site.Inner->Init, Runtime).value_or(0.0));
 
-  // Legality.
-  if (Summary.HasUnknownCall || Summary.HasScalarCycle) {
-    Summary.MaxSafeVF = 1;
-  } else {
-    Summary.MaxSafeVF =
-        computeMaxSafeVF(Summary.Accesses, Site.Inner->IndexVar, HWMaxVF,
-                         Summary.InnerVarLo, Summary.InnerStep,
-                         Summary.RuntimeTrip);
-  }
+  Summary.MaxSafeVF = maxSafeVF(Summary, HWMaxVF);
 
   // Register pressure estimate: distinct arrays + live scalars + masks.
   int DistinctArrays = 0;

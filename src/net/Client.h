@@ -6,11 +6,12 @@
 ///
 /// \file
 /// A small blocking client for the annotation daemon's wire protocol —
-/// the C++ twin of tools/nv_client.py, used by the tests and the
-/// serve_net load generator. One connection, strict request/response
-/// (no pipelining); every call returns the server's WireStatus so a
-/// caller can distinguish transport failure (false + \p Error) from a
-/// protocol-level rejection (OVERLOADED, SHUTTING_DOWN, ...).
+/// the C++ twin of tools/nv_client.py, used by the tests (perfbench's
+/// `net_*` workloads load the daemon with their own open-loop sender).
+/// One connection, strict request/response (no pipelining); every call
+/// returns the server's WireStatus so a caller can distinguish transport
+/// failure (false + \p Error) from a protocol-level rejection
+/// (OVERLOADED, SHUTTING_DOWN, ...).
 ///
 /// Resilience (fault-hardening pass): every socket operation runs under
 /// a deadline (ClientConfig::ConnectTimeoutMs / IoTimeoutMs — a hung
@@ -49,8 +50,8 @@ struct ClientConfig {
   uint64_t BackoffSeed = 0x9E3779B97F4A7C15ull; ///< Jitter stream.
 };
 
-/// Retry activity since connect()/resetRetryStats(), for tests and the
-/// serve_net load generator's report.
+/// Retry activity since connect()/resetRetryStats(), for tests and
+/// callers that report it.
 struct RetryStats {
   uint64_t Reconnects = 0; ///< Fresh connections after a transport loss.
   uint64_t Retries = 0;    ///< Operations re-sent after a failure.

@@ -2,7 +2,7 @@
 
 #include "sim/Compiler.h"
 
-#include "ir/Dependence.h"
+#include "ir/Legality.h"
 #include "ir/Lowering.h"
 
 #include <algorithm>

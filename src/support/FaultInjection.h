@@ -34,8 +34,9 @@
 /// Cost contract: an unarmed process pays ONE relaxed atomic load per
 /// hook (see fault::fired) — cheap enough to compile the hooks into
 /// release builds permanently, which is the point: the binary that runs
-/// the chaos suite is the binary that ships. bench/serve_net runs with
-/// the hooks compiled in but unarmed and must stay inside the perf gate.
+/// the chaos suite is the binary that ships. perfbench's `net_*`
+/// workloads serve with the hooks compiled in but unarmed, so their
+/// end-to-end bounds cover the hooks' cost.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,7 @@
 
 #include "ir/AccessAnalysis.h"
 #include "ir/ConstEval.h"
-#include "ir/Dependence.h"
+#include "ir/Legality.h"
 #include "ir/Lowering.h"
 #include "lang/LoopExtractor.h"
 #include "lang/Parser.h"

@@ -482,6 +482,9 @@ TEST(Oracle, AnalysisSoundAndExactAcrossTemplates) {
           lowerAllLoops(*P, Sites, TI.MaxVF);
       for (const LoopSummary &Sum : Sums) {
         const LegalitySummary Legal = analyzeLegality(Sum, TI);
+        // One source of truth: lowering records the analysis' verdict.
+        ASSERT_EQ(Sum.MaxSafeVF, Legal.MaxSafeVF)
+            << "template " << T << "\n" << G.Source;
         const OracleResult Oracle = oracleMaxSafeVF(Sum, TI.MaxVF);
         if (!Oracle.Computable)
           continue;
